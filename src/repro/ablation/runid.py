@@ -61,6 +61,7 @@ _VOLATILE_ATTRS = frozenset(
         "engine_used",
         "last_breaker_summary",
         "last_fluid_summary",
+        "last_batch_summary",
         "last_scaling_summary",
         # The requested engine is folded to its equivalence class by
         # resolve_simulation_spec (event/fast/vector are bit-identical),

@@ -246,17 +246,18 @@ class ClusterSimulation:
         ``None`` leaves every code path untouched; any autoscaler forces
         the event engine and is incompatible with ``dispatchers > 1``.
     engine:
-        ``"auto"`` (default) runs the phase-batched fast path
+        ``"auto"`` (default) runs the phase-batched kernel
         (:mod:`repro.engine.fastpath`) whenever the configuration permits
-        it and the event-driven loop otherwise; ``"event"`` forces the
-        event loop; ``"fast"`` forces the fast path and raises
-        :class:`ValueError` with the blocking reason if it is unavailable.
-        ``"vector"`` forces the numpy-vectorized batch kernel
-        (:mod:`repro.engine.vector`) — same eligibility matrix and same
-        bit-identical results as the fast path, but scaling to clusters
-        of thousands of servers.  ``"event"``/``"fast"``/``"vector"``
-        all produce bit-identical :class:`SimulationResult` objects, so
-        among those the choice is purely a performance knob.
+        it and the event-driven loop otherwise; the kernel picks its FCFS
+        integrator per phase — a scalar loop for small batches, a numpy
+        rounds recurrence when each round covers many servers — so wide
+        clusters run vectorized by default.  ``"event"`` forces the event
+        loop; ``"fast"`` forces the kernel and raises :class:`ValueError`
+        with the blocking reason if it is unavailable.  ``"vector"`` also
+        forces the kernel but puts every phase on the numpy integrator.
+        ``"event"``/``"fast"``/``"vector"`` all produce bit-identical
+        :class:`SimulationResult` objects, so among those the choice is
+        purely a performance knob.
         ``"fluid"`` solves the mean-field (n → ∞) fixed point instead of
         simulating jobs (:mod:`repro.engine.fluid`); it is an explicit
         opt-in, asymptotic rather than bit-identical, and raises
@@ -286,6 +287,11 @@ class ClusterSimulation:
     #: Fluid-solution digest of the most recent :meth:`run` (``None``
     #: unless the run executed on the fluid engine).
     last_fluid_summary: dict | None = None
+
+    #: Phase counts of the most recent fast or vector :meth:`run`:
+    #: ``phases``, ``empty_phases``, ``scalar_phases``, ``vector_phases``
+    #: (``None`` until a run takes the phase-batched kernel).
+    last_batch_summary: dict | None = None
 
     #: Scaling-history digest of the most recent :meth:`run` (``None``
     #: unless the run had an autoscaler).
@@ -672,14 +678,12 @@ class ClusterSimulation:
                     hook(engine, reason, self)
         if self.dispatchers > 1:
             return self._run_multidispatch()
-        if engine == "fast":
+        if engine in ("fast", "vector"):
             from repro.engine.fastpath import run_fast_path
 
+            if engine == "vector":
+                return run_fast_path(self, min_jobs_per_round=0)
             return run_fast_path(self)
-        if engine == "vector":
-            from repro.engine.vector import run_vector_path
-
-            return run_vector_path(self)
         if engine == "fluid":
             from repro.engine.fluid import run_fluid
 

@@ -1,40 +1,42 @@
-"""Phase-batched fast path for periodic-board simulations.
+"""Phase-batch kernel for periodic-board simulations.
 
 The event-driven engine pays one heap event, one ``LoadView``, one scalar
 policy draw and one scalar service draw per arrival.  Under the periodic
 (and lossy-periodic) bulletin board none of that generality is needed:
 within one phase every arrival samples from the *same* frozen board, so a
-whole phase can be replayed with batched numpy draws and a tight FCFS
-integration loop.
+whole phase can be replayed with batched numpy draws.  One driver,
+:func:`run_fast_path`, owns the draws, phase bounds, views, board state,
+Welford fold and job trace; each phase's FCFS step then runs on one of two
+integrators, chosen from the batch's shape (:data:`VECTOR_MIN_JOBS_PER_ROUND`):
+:func:`_fcfs_scalar`, one Python iteration per job, or
+:func:`_fcfs_rounds`, one numpy step per round of a ``(rounds, n)`` grid.
 
 The contract this module guarantees — and the cross-engine equivalence
-tests enforce — is **bit-identity**: :func:`run_fast_path` consumes the
-same named RNG streams (``arrivals``, ``staleness``, ``policy``,
-``service``) in exactly the same order as
-:meth:`~repro.cluster.simulation.ClusterSimulation.run`'s event loop, and
-every floating-point operation on the measurement path (arrival-time
-accumulation, the FCFS completion recurrence, Welford's mean update) is
-performed with the same arithmetic in the same order.  The resulting
+tests enforce — is **bit-identity**: the kernel consumes the same named
+RNG streams as :meth:`~repro.cluster.simulation.ClusterSimulation.run`'s
+event loop in exactly the same order, and every floating-point operation
+on the measurement path (arrival-time accumulation, the FCFS completion
+recurrence, Welford's mean update) is performed with the same arithmetic
+in the same order, whichever integrator ran.  The resulting
 :class:`~repro.cluster.simulation.SimulationResult` is therefore equal
 bit-for-bit to the event engine's, not merely statistically equivalent.
 
 Stream-order guarantee, stream by stream:
 
-* ``arrivals`` — the event loop draws one exponential gap to schedule the
-  first arrival and one more at each arrival event; the gap drawn at the
-  final arrival is never used.  The fast path batch-draws ``total_jobs``
-  gaps (``Generator.exponential`` is bitwise-identical whether drawn as an
-  array or one scalar at a time), accumulates them with ``np.cumsum``
-  (sequential, like the event clock), then makes the same trailing unused
-  draw so the stream parks in the identical state.
+* ``arrivals`` — the event loop draws one exponential gap per arrival
+  plus one never-used gap at the final arrival.  The kernel batch-draws
+  ``total_jobs`` gaps (``Generator.exponential`` is bitwise-identical
+  whether drawn as an array or one at a time), accumulates them with
+  ``np.cumsum`` (sequential, like the event clock), then makes the same
+  trailing unused draw so the stream parks in the identical state.
 * ``staleness`` — the periodic board draws nothing; the lossy board draws
   one uniform per refresh *attempt* in time order.  Attempt times do not
   depend on drop outcomes (both outcomes reschedule ``now + period``), so
-  the fast path enumerates attempts first and batch-draws their uniforms.
+  the kernel enumerates attempts first and batch-draws their uniforms.
 * ``policy`` — delegated to each policy's
   :meth:`~repro.core.policy.Policy.select_batch`, which must replay one
   phase of scalar ``select`` calls with batched draws (the
-  ``phase_batchable`` contract).
+  ``phase_batchable`` contract).  A phase with no arrivals makes no call.
 * ``service`` — one draw per arrival in arrival order; batched via
   :meth:`~repro.workloads.distributions.Distribution.sample_array`, which
   is only trusted when the distribution declares
@@ -51,7 +53,6 @@ to the event engine.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -60,7 +61,15 @@ from repro.engine.rng import RandomStreams
 from repro.staleness.base import LoadView
 from repro.staleness.lossy import LossyPeriodicUpdate
 
-__all__ = ["run_fast_path", "validate_fast_path_inputs"]
+__all__ = ["VECTOR_MIN_JOBS_PER_ROUND", "run_fast_path", "validate_fast_path_inputs"]
+
+#: Crossover between the FCFS integrators: a phase runs on the numpy
+#: rounds recurrence when its arrivals number at least this many times
+#: its rounds (the largest per-server count in the phase), i.e. when one
+#: vector step advances this many jobs on average.  Below it, numpy's
+#: per-call overhead costs more than the scalar loop it replaces.
+#: Measured on a 2-vCPU x86-64 VM (DESIGN.md §8 has the table).
+VECTOR_MIN_JOBS_PER_ROUND = 12
 
 
 def validate_fast_path_inputs(
@@ -72,11 +81,9 @@ def validate_fast_path_inputs(
 ) -> None:
     """Validate the knobs the batched kernel integrates over.
 
-    The constructors of the individual components already reject most bad
-    configurations; this entry check re-asserts the invariants the kernel
-    itself relies on (mirroring the hardening style of the fault layer),
-    so a hand-built or mutated simulation object fails loudly here instead
-    of producing a silently wrong batch.
+    Component constructors reject most bad configurations; this re-asserts
+    the invariants the kernel relies on, so a hand-built or mutated
+    simulation fails loudly instead of producing a silently wrong batch.
     """
     if num_servers < 1:
         raise ValueError(f"need at least one server, got {num_servers}")
@@ -117,13 +124,106 @@ def _refresh_attempt_times(period: float, last_arrival: float) -> list[float]:
     return times
 
 
-def run_fast_path(simulation):
-    """Run ``simulation`` with the phase-batched kernel.
+class _BoardState:
+    """Per-server FCFS state both integrators advance, and its board view.
+
+    ``last_completion`` is each server's latest completion time.  The
+    outstanding set holds (server, completion) pairs of dispatched jobs
+    not yet seen departed; each sample filters it, so a sample costs
+    O(outstanding + latest batch), not O(all jobs so far).
+    """
+
+    def __init__(self, num_servers: int, metric: str) -> None:
+        self.num_servers = num_servers
+        self.metric = metric
+        self.last_completion = np.zeros(num_servers, dtype=np.float64)
+        self._servers = np.empty(0, dtype=np.int64)
+        self._completions = np.empty(0, dtype=np.float64)
+
+    def dispatched(self, servers: np.ndarray, completions: np.ndarray) -> None:
+        self._servers = np.concatenate((self._servers, servers))
+        self._completions = np.concatenate((self._completions, completions))
+
+    def sample(self, at_time: float) -> np.ndarray:
+        """The load report the event engine would sample at ``at_time``.
+
+        Every job dispatched so far arrived strictly before ``at_time``
+        (phase bounds use ``side="left"``), so a queue length is a count
+        of completions after ``at_time`` — one exactly at it has departed,
+        as in the event queue — and a busy server's work backlog is
+        ``last_completion - at_time``, the event engine's subtraction.
+        """
+        busy = self._completions > at_time
+        self._servers = self._servers[busy]
+        self._completions = self._completions[busy]
+        queue_lengths = np.bincount(self._servers, minlength=self.num_servers)
+        if self.metric == "work-backlog":
+            return np.where(
+                queue_lengths == 0, 0.0, self.last_completion - at_time
+            )
+        return queue_lengths.astype(np.float64)
+
+
+def _fcfs_scalar(board, arrivals, services, servers, rates) -> list[float]:
+    """FCFS completions of one phase, one Python iteration per job:
+    ``completion = max(arrival, last) + service / rate`` per server."""
+    last = board.last_completion.tolist()
+    completions = []
+    append = completions.append
+    for arrival, service, server in zip(
+        arrivals.tolist(), services.tolist(), servers.tolist()
+    ):
+        previous = last[server]
+        completion = (
+            arrival if arrival > previous else previous
+        ) + service / rates[server]
+        last[server] = completion
+        append(completion)
+    board.last_completion[:] = last
+    return completions
+
+
+def _fcfs_rounds(board, arrivals, services, servers, counts, rates) -> np.ndarray:
+    """FCFS completions of one phase, one numpy step per round.
+
+    Jobs are grouped by server (stable sort: within-server order holds)
+    into a ``(rounds, n)`` grid whose row ``r`` holds each server's
+    ``r``-th job of the phase.  IEEE 754 elementwise ``maximum``, ``/``
+    and ``+`` are bitwise equal to the scalar loop's operations, and a
+    padding cell (arrival 0, service 0) gives ``max(0.0, last) + 0.0 ==
+    last`` exactly, since completions are non-negative.
+    """
+    # Server ids fit in 16 bits for clusters up to 65,536 servers, where
+    # numpy's stable sort is a radix sort: O(batch) instead of O(b log b).
+    key = servers.astype(np.min_scalar_type(board.num_servers - 1))
+    order = np.argsort(key, kind="stable")
+    sorted_servers = servers[order]
+    position = np.arange(servers.size) - (np.cumsum(counts) - counts)[sorted_servers]
+    grid = np.zeros((int(counts.max()), board.num_servers), dtype=np.float64)
+    scaled = np.zeros_like(grid)
+    grid[position, sorted_servers] = arrivals[order]
+    scaled[position, sorted_servers] = services[order] / rates[sorted_servers]
+    # In place: each row turns from arrivals into completions.
+    previous = board.last_completion
+    for row, work in zip(grid, scaled):
+        np.maximum(row, previous, out=row)
+        row += work
+        previous = row
+    board.last_completion[:] = previous
+    completions = np.empty(servers.size, dtype=np.float64)
+    completions[order] = grid[position, sorted_servers]
+    return completions
+
+
+def run_fast_path(simulation, min_jobs_per_round: int = VECTOR_MIN_JOBS_PER_ROUND):
+    """Run ``simulation`` with the phase-batch kernel.
 
     Callers should not invoke this directly: :class:`ClusterSimulation`
-    selects it automatically (``engine="auto"``) after checking
-    eligibility.  The precondition is that
-    ``simulation.fast_path_blocker()`` returned ``None``.
+    selects it (``engine="auto"``/``"fast"``; ``"vector"`` passes
+    ``min_jobs_per_round=0`` to put every phase on the numpy integrator)
+    after checking eligibility.  The precondition is that
+    ``simulation.fast_path_blocker()`` returned ``None``.  After the run,
+    ``simulation.last_batch_summary`` counts phases by integrator.
     """
     from repro.cluster.simulation import SimulationResult
 
@@ -141,11 +241,12 @@ def run_fast_path(simulation):
     arrivals_rng = streams.stream("arrivals")
     staleness_rng = streams.stream("staleness")
     simulation.rate_estimator.bind(num_servers, simulation._per_server_rate())
+    rate_vector = np.asarray(rates, dtype=np.float64)
     simulation.policy.bind(
         num_servers,
         streams.stream("policy"),
         simulation.rate_estimator,
-        server_rates=np.asarray(rates, dtype=np.float64),
+        server_rates=rate_vector,
     )
     service_rng = streams.stream("service")
 
@@ -166,83 +267,35 @@ def run_fast_path(simulation):
         staleness.refreshes_dropped = len(attempt_times) - len(success_times)
     else:
         success_times = attempt_times
-    success_arr = np.asarray(success_times, dtype=np.float64)
     # An arrival at exactly a refresh instant sees the *new* board
     # (refreshes carry negative priority), so the first arrival of phase j
     # is the first one at or after the j-th delivered refresh.
-    phase_bounds = np.concatenate(
-        (
-            [0],
-            np.searchsorted(arrival_times, success_arr, side="left"),
-            [total_jobs],
-        )
-    )
+    bounds = np.searchsorted(arrival_times, success_times, side="left")
+    phase_bounds = [0, *bounds.tolist(), total_jobs]
 
     # -- service times: one batch draw, identical to per-arrival draws --
     service_times = simulation.service.sample_array(service_rng, total_jobs)
 
     policy = simulation.policy
-    metric = staleness.metric
-    warmup_jobs = int(total_jobs * simulation.warmup_fraction)
-    latency_row = None
-    if simulation.client_latency is not None:
-        # PoissonArrivals emits client id 0 only.
-        latency_row = simulation.client_latency[0 % simulation.client_latency.shape[0]]
+    rate_list = rate_vector.tolist()
+    board = _BoardState(num_servers, staleness.metric)
+    all_selections = np.empty(total_jobs, dtype=np.int64)
+    all_completions = np.empty(total_jobs, dtype=np.float64)
+    scalar_phases = vector_phases = 0
 
-    # Python lists index faster than numpy scalars in the hot loop, and
-    # keep every value a plain float — the same type the event loop uses.
-    arrival_list = arrival_times.tolist()
-    service_list = service_times.tolist()
-    rate_list = [float(rate) for rate in rates]
-
-    server_arrivals: list[list[float]] = [[] for _ in range(num_servers)]
-    server_completions: list[list[float]] = [[] for _ in range(num_servers)]
-    last_completion = [0.0] * num_servers
-    dispatch_counts = [0] * num_servers
-
-    # Welford mean, inlined with RunningStats.add's exact operation order.
-    measured = 0
-    mean = 0.0
-    response_trace: list[float] | None = (
-        [] if simulation.trace_response_times else None
-    )
-    job_trace: list[Job] | None = [] if simulation.trace_jobs else None
-
-    def sample_board(at_time: float) -> np.ndarray:
-        """The load report ``StalenessModel._sample_loads`` would take."""
-        if metric == "work-backlog":
-            values = []
-            for arrivals, completions in zip(server_arrivals, server_completions):
-                present = bisect_right(arrivals, at_time)
-                departed = bisect_right(completions, at_time)
-                values.append(
-                    0.0
-                    if present == departed
-                    else completions[present - 1] - at_time
-                )
-            return np.array(values, dtype=np.float64)
-        return np.array(
-            [
-                bisect_right(arrivals, at_time) - bisect_right(completions, at_time)
-                for arrivals, completions in zip(server_arrivals, server_completions)
-            ],
-            dtype=np.float64,
-        )
-
-    board = np.zeros(num_servers, dtype=np.float64)  # exact at t = 0
-    info_time = 0.0
-    for phase in range(len(success_times) + 1):
-        if phase > 0:
-            info_time = float(success_arr[phase - 1])
-            board = sample_board(info_time)
-        low = int(phase_bounds[phase])
-        high = int(phase_bounds[phase + 1])
+    for phase, (low, high) in enumerate(zip(phase_bounds, phase_bounds[1:])):
         if high == low:
             continue  # a phase with no arrivals consumes no draws
+        if phase > 0:
+            info_time = success_times[phase - 1]
+            loads = board.sample(info_time)
+        else:
+            info_time = 0.0
+            loads = np.zeros(num_servers, dtype=np.float64)  # exact at t = 0
         batch_times = arrival_times[low:high]
-        first_arrival = arrival_list[low]
+        first_arrival = float(batch_times[0])
         view = LoadView(
-            loads=board,
+            loads=loads,
             version=phase,
             info_time=info_time,
             now=first_arrival,
@@ -261,52 +314,90 @@ def run_fast_path(simulation):
                 f"selections for a batch of {high - low} arrivals "
                 f"(cluster size {num_servers})"
             )
-        selection_list = selections.tolist()
+        selections = selections.astype(np.int64, copy=False)
+        batch_services = service_times[low:high]
 
-        for i in range(low, high):
-            arrival = arrival_list[i]
-            server_id = selection_list[i - low]
-            service = service_list[i]
-            last = last_completion[server_id]
-            start = arrival if arrival > last else last
-            completion = start + service / rate_list[server_id]
-            server_arrivals[server_id].append(arrival)
-            server_completions[server_id].append(completion)
-            last_completion[server_id] = completion
-            dispatch_counts[server_id] += 1
-            response = completion - arrival
-            if latency_row is not None:
-                response = response + latency_row[server_id]
-            if i >= warmup_jobs:
-                measured += 1
-                delta = response - mean
-                mean += delta / measured
-                if response_trace is not None:
-                    response_trace.append(response)
-            if job_trace is not None:
-                job_trace.append(
-                    Job(
-                        index=i,
-                        client_id=0,
-                        server_id=server_id,
-                        arrival_time=arrival,
-                        service_time=service,
-                        completion_time=completion,
-                        retries=0,
-                        penalty=0.0,
-                    )
+        # A phase of fewer arrivals than the crossover cannot average that
+        # many jobs per round, so it skips the per-server count.
+        counts = None
+        if high - low >= min_jobs_per_round:
+            counts = np.bincount(selections, minlength=num_servers)
+        if counts is not None and high - low >= min_jobs_per_round * counts.max():
+            vector_phases += 1
+            all_completions[low:high] = _fcfs_rounds(
+                board, batch_times, batch_services, selections, counts, rate_vector
+            )
+        else:
+            scalar_phases += 1
+            all_completions[low:high] = _fcfs_scalar(
+                board, batch_times, batch_services, selections, rate_list
+            )
+        all_selections[low:high] = selections
+        board.dispatched(selections, all_completions[low:high])
+
+    phases = len(phase_bounds) - 1
+    simulation.last_batch_summary = {
+        "phases": phases,
+        "empty_phases": phases - scalar_phases - vector_phases,
+        "scalar_phases": scalar_phases,
+        "vector_phases": vector_phases,
+    }
+
+    responses = all_completions - arrival_times
+    if simulation.client_latency is not None:
+        # PoissonArrivals emits client id 0 only.
+        latency_row = simulation.client_latency[0 % simulation.client_latency.shape[0]]
+        responses += latency_row[all_selections]
+
+    # -- measurement fold: sequential Welford, identical to the event
+    # engine's RunningStats.add (float summation is order-sensitive).
+    # The event engine folds python floats — except when a latency row
+    # promotes each response (and thus the mean) to np.float64; matching
+    # the element type makes the mean's type match too.
+    measured_tail = responses[int(total_jobs * simulation.warmup_fraction):]
+    responses_seq = (
+        list(measured_tail)
+        if simulation.client_latency is not None
+        else measured_tail.tolist()
+    )
+    measured = 0
+    mean = 0.0
+    for response in responses_seq:
+        measured += 1
+        delta = response - mean
+        mean += delta / measured
+
+    job_trace = None
+    if simulation.trace_jobs:
+        job_trace = [
+            Job(
+                index=index,
+                client_id=0,
+                server_id=server_id,
+                arrival_time=arrival,
+                service_time=service,
+                completion_time=completion,
+                retries=0,
+                penalty=0.0,
+            )
+            for index, (server_id, arrival, service, completion) in enumerate(
+                zip(
+                    all_selections.tolist(),
+                    arrival_times.tolist(),
+                    service_times.tolist(),
+                    all_completions.tolist(),
                 )
+            )
+        ]
 
     return SimulationResult(
         mean_response_time=mean if measured else 0.0,
         jobs_measured=measured,
         jobs_total=total_jobs,
         duration=last_arrival,
-        dispatch_counts=np.array(dispatch_counts, dtype=np.int64),
+        dispatch_counts=np.bincount(all_selections, minlength=num_servers),
         response_times=(
-            np.asarray(response_trace)
-            if simulation.trace_response_times
-            else None
+            measured_tail.copy() if simulation.trace_response_times else None
         ),
         trace=job_trace,
     )

@@ -50,4 +50,7 @@ class EngineProvenanceProbe(Probe):
         fluid = getattr(self._simulation, "last_fluid_summary", None)
         if self.engine == "fluid" and fluid is not None:
             digest["fluid"] = fluid
+        batch = getattr(self._simulation, "last_batch_summary", None)
+        if self.engine in ("fast", "vector") and batch is not None:
+            digest["batch"] = batch
         return digest

@@ -94,12 +94,20 @@ class PerfKernel:
     inner: int = 1
 
 
-def _pinned_simulation(engine: str, jobs: int, seed: int = 1):
+def _pinned_simulation(
+    engine: str,
+    jobs: int,
+    seed: int = 1,
+    num_servers: int = 10,
+    period: float = 2.0,
+):
     """The pinned dispatch cell every BENCH file times.
 
     Fig. 2's central configuration: 10 servers, offered load 0.9,
     exponential service with mean 1, periodic board with T = 2 phase —
-    the workload the paper's headline sweeps are made of.
+    the workload the paper's headline sweeps are made of.  The
+    phase-batch kernels vary ``num_servers`` and ``period`` at the same
+    offered load.
     """
     from repro.cluster.simulation import ClusterSimulation
     from repro.core.li_basic import BasicLIPolicy
@@ -108,11 +116,11 @@ def _pinned_simulation(engine: str, jobs: int, seed: int = 1):
     from repro.workloads.distributions import Exponential
 
     return ClusterSimulation(
-        num_servers=10,
-        arrivals=PoissonArrivals(rate=9.0),
+        num_servers=num_servers,
+        arrivals=PoissonArrivals(rate=0.9 * num_servers),
         service=Exponential(1.0),
         policy=BasicLIPolicy(),
-        staleness=PeriodicUpdate(period=2.0),
+        staleness=PeriodicUpdate(period=period),
         total_jobs=jobs,
         seed=seed,
         engine=engine,
@@ -278,10 +286,18 @@ def default_kernels(jobs: int) -> list[PerfKernel]:
     from repro.core.weights import waterfill_probabilities
     from repro.engine.rng import RandomStreams
 
-    def make_dispatch(engine: str) -> Callable[[], Callable[[], object]]:
+    def make_dispatch(
+        engine: str, num_servers: int = 10, period: float = 2.0
+    ) -> Callable[[], Callable[[], object]]:
         def make() -> Callable[[], object]:
             def run() -> float:
-                return _pinned_simulation(engine, jobs).run().mean_response_time
+                return (
+                    _pinned_simulation(
+                        engine, jobs, num_servers=num_servers, period=period
+                    )
+                    .run()
+                    .mean_response_time
+                )
 
             return run
 
@@ -343,6 +359,18 @@ def default_kernels(jobs: int) -> list[PerfKernel]:
         PerfKernel("dispatch-fast", make_dispatch("fast"), jobs=jobs),
         PerfKernel(
             "dispatch-vector-n10k", make_vector, jobs=VECTOR_BENCH_JOBS
+        ),
+        # The phase-batch kernel on each side of its integrator
+        # crossover: short phases (scalar loop) and a wide cluster (numpy).
+        PerfKernel(
+            "dispatch-batch-n10-T0.1",
+            make_dispatch("auto", period=0.1),
+            jobs=jobs,
+        ),
+        PerfKernel(
+            "dispatch-batch-n1000",
+            make_dispatch("auto", num_servers=1000),
+            jobs=jobs,
         ),
         PerfKernel("dispatch-multi4", make_multidispatch, jobs=jobs),
         PerfKernel("overload-bounded", make_overload, jobs=jobs),

@@ -66,6 +66,10 @@ class TestRunKernels:
             payload["kernels"]
         )
 
+    def test_phase_batch_kernels_follow_the_jobs_knob(self, payload):
+        for name in ("dispatch-batch-n10-T0.1", "dispatch-batch-n1000"):
+            assert payload["kernels"][name]["jobs"] == TINY_JOBS
+
     def test_vector_kernel_ignores_the_jobs_knob(self, payload):
         from repro.perf import VECTOR_BENCH_JOBS
 
