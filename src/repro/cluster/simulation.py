@@ -18,11 +18,14 @@ import numpy as np
 from repro.cluster.job import Job
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.server import Server
+from repro.core.dispatch import BLOCKED, SHED, DispatchCore
 from repro.core.policy import Policy
 from repro.core.rate_estimators import ExactRate, RateEstimator
 from repro.engine.rng import RandomStreams
 from repro.engine.simulator import Simulator
 from repro.faults.injector import FaultInjector
+from repro.overload.admission import ProbabilisticShed
+from repro.overload.breaker import BreakerBoard
 from repro.overload.config import OverloadConfig
 from repro.staleness.base import StalenessModel
 from repro.workloads.arrivals import ArrivalSource
@@ -787,8 +790,6 @@ class ClusterSimulation:
 
         breakers = None
         if overload_active and overload.breaker is not None:
-            from repro.overload.breaker import BreakerBoard
-
             on_transition = None
             if probe_set is not None:
                 on_transition = probe_set.on_breaker_transition
@@ -803,8 +804,6 @@ class ClusterSimulation:
                 on_transition=on_transition,
             )
         if admission is not None:
-            from repro.overload.admission import ProbabilisticShed
-
             admission.bind(
                 self.num_servers,
                 (
@@ -837,6 +836,9 @@ class ClusterSimulation:
             self.rate_estimator,
             server_rates=np.asarray(rates, dtype=np.float64),
         )
+        core = DispatchCore(
+            self.num_servers, self.policy, admission, breakers, retry, faults_rng
+        )
 
         metrics = ClusterMetrics(
             num_servers=self.num_servers,
@@ -857,24 +859,6 @@ class ClusterSimulation:
             ):
                 sim.stop()
 
-        def select_retry_target(client_id: int, excluded: frozenset[int]) -> int:
-            # Re-dispatch targets are picked by the dispatcher itself —
-            # least reported load among non-excluded servers, lowest id on
-            # ties — rather than by re-running the policy: policies cache
-            # per-version state and RandomPolicy ignores exclusions, so
-            # re-selection would either poison caches or spin.
-            loads = self.staleness.view(client_id, sim.now).loads
-            best = -1
-            best_load = math.inf
-            for candidate in range(self.num_servers):
-                if candidate in excluded:
-                    continue
-                load = loads[candidate]
-                if load < best_load:
-                    best_load = load
-                    best = candidate
-            return best
-
         def attempt_dispatch(
             index: int,
             client_id: int,
@@ -887,17 +871,12 @@ class ClusterSimulation:
         ) -> None:
             nonlocal pending_retries
             now = sim.now
-            if breakers is not None and not breakers.allow(server_id, now):
-                # The breaker knows what the stale board does not: this
-                # server has been refusing work.  Route around it — to the
-                # least-loaded server no breaker currently blocks — or
-                # refuse the job outright if every server is blocked.
-                blocked = excluded | frozenset(
-                    candidate
-                    for candidate in range(self.num_servers)
-                    if breakers.blocks(candidate, now)
-                )
-                if len(blocked) >= self.num_servers:
+            if server_id < 0:
+                # The breaker knows what the stale board does not: the
+                # chosen server has been refusing work.  Route around it,
+                # on a fresh read of the board, or refuse the job outright
+                # if every server is blocked.
+                if server_id == BLOCKED:
                     refuse(
                         index,
                         client_id,
@@ -907,26 +886,26 @@ class ClusterSimulation:
                         "breaker-blocked",
                     )
                     return
-                server_id = select_retry_target(client_id, blocked)
-                breakers.allow(server_id, now)  # may claim a half-open probe
+                server_id = core.reroute(
+                    self.staleness.view(client_id, now).loads, now, excluded
+                )
             server = servers[server_id]
             if faults is not None and faults.is_down(server_id, now):
                 # The board said otherwise; the dispatcher discovers the
                 # crash the hard way, by waiting out the timeout — which
                 # is exactly the signal that trips a breaker.
-                if breakers is not None:
-                    breakers.record_failure(server_id, now)
-                if retry.max_attempts and retries_done >= retry.max_attempts:
+                discovered = core.discover(
+                    server_id, retries_done, excluded, now
+                )
+                if discovered is None:
                     metrics.record_failure(server_id, retries=retries_done)
                     if probe_set is not None:
                         probe_set.on_job_failed(
                             now + retry.timeout, server_id, "retries-exhausted"
                         )
                     return
+                delay, excluded = discovered
                 next_attempt = retries_done + 1
-                excluded = excluded | {server_id}
-                if len(excluded) >= self.num_servers:
-                    excluded = frozenset()
                 if probe_set is not None:
                     probe_set.on_retry(now, client_id, server_id, next_attempt)
                 pending_retries += 1
@@ -934,7 +913,11 @@ class ClusterSimulation:
                 def redispatch() -> None:
                     nonlocal pending_retries
                     pending_retries -= 1
-                    target = select_retry_target(client_id, excluded)
+                    target = core.redispatch(
+                        self.staleness.view(client_id, sim.now).loads,
+                        sim.now,
+                        excluded,
+                    )
                     attempt_dispatch(
                         index,
                         client_id,
@@ -947,10 +930,7 @@ class ClusterSimulation:
                     )
                     maybe_stop()
 
-                sim.schedule_after(
-                    retry.timeout + retry.backoff_delay(next_attempt, faults_rng),
-                    redispatch,
-                )
+                sim.schedule_after(delay, redispatch)
                 return
 
             if queue_capacity is None:
@@ -963,8 +943,7 @@ class ClusterSimulation:
                     # to its breaker, then the job is refused (and may
                     # come back as a storm re-submission).
                     metrics.record_reject(server_id)
-                    if breakers is not None:
-                        breakers.record_failure(server_id, now)
+                    core.rejected(server_id, now)
                     if probe_set is not None:
                         probe_set.on_job_rejected(now, server_id)
                     refuse(
@@ -977,8 +956,7 @@ class ClusterSimulation:
                     )
                     return
                 completion = accepted
-            if breakers is not None:
-                breakers.record_success(server_id, now)
+            core.accepted(server_id, now)
             aborted = server.last_assign_aborted
             if aborted or not math.isfinite(completion):
                 metrics.record_failure(server_id, retries=retries_done)
@@ -1075,7 +1053,8 @@ class ClusterSimulation:
             # dispatch attempt, and carried across re-submissions.
             now = sim.now
             view = self.staleness.view(client_id, now)
-            if admission is not None and not admission.admit(view):
+            server_id = core.dispatch(view, now)
+            if server_id == SHED:
                 metrics.record_shed()
                 if probe_set is not None:
                     probe_set.on_job_shed(now, client_id)
@@ -1084,12 +1063,6 @@ class ClusterSimulation:
                     resubmits_done, "shed",
                 )
                 return
-            server_id = self.policy.select(view)
-            if not 0 <= server_id < self.num_servers:
-                raise RuntimeError(
-                    f"{type(self.policy).__name__} selected invalid server "
-                    f"{server_id} (cluster size {self.num_servers})"
-                )
             if service_time is None:
                 service_time = self.service.sample(service_rng)
             attempt_dispatch(

@@ -33,10 +33,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.simulation import SimulationResult
+from repro.core.dispatch import DispatchCore
 from repro.core.policy import Policy
 from repro.core.rate_estimators import ExactRate, RateEstimator
 from repro.engine.rng import RandomStreams
@@ -241,6 +240,7 @@ class StealingClusterSimulation:
         self.policy.bind(
             self.num_servers, streams.stream("policy"), self.rate_estimator
         )
+        core = DispatchCore(self.num_servers, self.policy)
         steal_rng = streams.stream("stealing")
         service_rng = streams.stream("service")
         metrics = ClusterMetrics(
@@ -305,13 +305,7 @@ class StealingClusterSimulation:
                 return  # drain phase: ignore further arrivals
             now = sim.now
             self.rate_estimator.observe_arrival(now)
-            view = self.staleness.view(client_id, now)
-            server_id = self.policy.select(view)
-            if not 0 <= server_id < self.num_servers:
-                raise RuntimeError(
-                    f"{type(self.policy).__name__} selected invalid server "
-                    f"{server_id} (cluster size {self.num_servers})"
-                )
+            server_id = core.dispatch(self.staleness.view(client_id, now), now)
             server = servers[server_id]
             job = _PendingJob(
                 arrival_time=now,

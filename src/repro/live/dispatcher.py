@@ -1,16 +1,13 @@
 """The asyncio dispatcher: an unmodified core Policy fronting real sockets.
 
 For each incoming request the dispatcher asks the bulletin board for the
-current (stale) :class:`~repro.core.views.LoadView`, runs the overload
-subsystem's admission check, lets the configured
-:class:`~repro.core.policy.Policy` pick a backend — exactly the object
-the simulators drive, consuming exactly the view type they produce — and
-forwards the job over a persistent per-backend connection.  Circuit
-breakers (:class:`~repro.overload.breaker.BreakerBoard`) guard backends
-whose bounded queues reject; a request whose chosen backend is
-breaker-blocked is re-routed to the least-loaded unblocked backend *by
-the stale board's lights* (deterministically, lowest index on ties), the
-same fallback contract the simulator's retry path uses.
+current (stale) :class:`~repro.core.views.LoadView` and hands it to a
+:class:`~repro.core.dispatch.DispatchCore` — the decision object the
+simulators drive — which admits or sheds, lets the configured
+:class:`~repro.core.policy.Policy` pick a backend, and reroutes around
+breaker-blocked or drained backends.  The dispatcher forwards the job
+over a persistent per-backend connection and feeds outcomes, timeouts
+and health-check drains back to the core.
 
 Requests are served concurrently (one task per request, pipelined on the
 backend connections), so dispatch decisions interleave with completions
@@ -27,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.dispatch import BLOCKED, REROUTE, SHED, DispatchCore
 from repro.core.policy import Policy
 from repro.core.rate_estimators import ExactRate, RateEstimator
 from repro.faults.retry import RetryPolicy
@@ -175,6 +173,11 @@ class DispatcherStats:
         if self.failed:
             summary["failed"] = self.failed
         return summary
+
+
+def _done(writer: asyncio.StreamWriter, request_id, **fields) -> None:
+    """Send a request's final ``done`` reply."""
+    send_message(writer, {"op": "done", "id": request_id, **fields})
 
 
 class _BackendLink:
@@ -356,11 +359,10 @@ class LiveDispatcher:
         whose backend cannot answer (connection refused/lost, or silence
         past ``retry.timeout`` normalized units *and* a failed liveness
         probe — a slow backend is not a crashed one) is re-dispatched
-        to the least-loaded non-excluded backend by the stale board's
-        lights, after the full discovery timeout plus capped exponential
-        backoff — the simulator's exact penalty accounting, billed in
-        real wall-clock sleeps.  ``None`` keeps the single-shot PR 9
-        behavior.
+        by the same :class:`~repro.core.dispatch.DispatchCore` retry
+        decisions the simulator makes, after the full discovery timeout
+        plus capped exponential backoff, billed in real wall-clock
+        sleeps.  ``None`` keeps the single-shot behavior.
     health:
         Optional :class:`HealthConfig`; enables active health probes
         with drain/rejoin.  Independent of ``retry`` (retries *react* to
@@ -397,10 +399,7 @@ class LiveDispatcher:
         if not addresses:
             raise ValueError("LiveDispatcher needs at least one backend")
         self.board = board
-        self.policy = policy
         self.clock = clock
-        self.admission = admission
-        self.retry = retry
         self.health = health
         self.probes = probes
         self.host = host
@@ -420,7 +419,6 @@ class LiveDispatcher:
         policy_seed, admission_seed, breaker_seed, retry_seed = seed_seq.spawn(
             4
         )
-        self._retry_rng = np.random.default_rng(retry_seed)
         self._links = [
             _BackendLink(i, host_, port_)
             for i, (host_, port_) in enumerate(addresses)
@@ -444,11 +442,14 @@ class LiveDispatcher:
             if breaker_config is not None
             else None
         )
+        self.core = DispatchCore(
+            len(addresses), policy, admission, self.breakers, retry,
+            np.random.default_rng(retry_seed),
+        )
         self._server: asyncio.base_events.Server | None = None
         self._in_flight: set[asyncio.Task] = set()
         self._connections: set[asyncio.Task] = set()
         self._accepting = True
-        self._unhealthy: set[int] = set()
         self._health_task: asyncio.Task | None = None
         self._health_failures = [0] * len(addresses)
         self._health_successes = [0] * len(addresses)
@@ -529,7 +530,7 @@ class LiveDispatcher:
     @property
     def unhealthy(self) -> frozenset[int]:
         """Backends currently drained by the health checker."""
-        return frozenset(self._unhealthy)
+        return frozenset(self.core.drained)
 
     async def _probe_backend(self, server_id: int) -> bool:
         """One health probe; ``True`` == answered inside the timeout."""
@@ -571,23 +572,24 @@ class LiveDispatcher:
 
     def _record_health(self, server_id: int, answered: bool) -> None:
         """Update the consecutive counters; drain or rejoin on threshold."""
+        drained = self.core.drained
         if answered:
             self._health_failures[server_id] = 0
             self._health_successes[server_id] += 1
             if (
-                server_id in self._unhealthy
+                server_id in drained
                 and self._health_successes[server_id] >= self.health.up_after
             ):
-                self._unhealthy.discard(server_id)
+                drained.discard(server_id)
                 self._notify_health(server_id, healthy=True)
         else:
             self._health_successes[server_id] = 0
             self._health_failures[server_id] += 1
             if (
-                server_id not in self._unhealthy
+                server_id not in drained
                 and self._health_failures[server_id] >= self.health.down_after
             ):
-                self._unhealthy.add(server_id)
+                drained.add(server_id)
                 self._notify_health(server_id, healthy=False)
 
     def _notify_health(self, server_id: int, healthy: bool) -> None:
@@ -608,168 +610,73 @@ class LiveDispatcher:
 
     # -- request path ----------------------------------------------------
 
-    def _avoided(self, now: float) -> set[int]:
-        """Backends no fresh dispatch should target right now."""
-        avoided = set(self._unhealthy)
-        if self.breakers is not None:
-            avoided.update(
-                s
-                for s in range(self.num_servers)
-                if self.breakers.blocks(s, now)
-            )
-        return avoided
-
-    def _least_loaded(self, loads, excluded: set[int]) -> int | None:
-        """The simulator's retry target: least reported load, lowest id.
-
-        Evicted (``inf``) entries lose to any finite load; if every
-        candidate is evicted the lowest-id one is still returned —
-        refusing service because the *board* is dark would be worse than
-        probing.
-        """
-        best = None
-        best_load = math.inf
-        for candidate in range(self.num_servers):
-            if candidate in excluded:
-                continue
-            load = loads[candidate]
-            if load < best_load:
-                best_load = load
-                best = candidate
-            elif best is None:
-                best = candidate
-        return best
-
-    def select_server(self, view) -> tuple[int | None, bool]:
-        """Policy selection plus breaker/health re-routing for one view.
-
-        Returns ``(server_id, blocked)``: ``server_id`` is ``None`` when
-        every backend is breaker-blocked or drained (the request must be
-        refused); ``blocked`` reports whether the policy's first choice
-        was overridden.  Exposed separately from the socket path so
-        tests can drive the decision logic synchronously.
-        """
-        server = self.policy.select(view)
-        breaker_ok = self.breakers is None or self.breakers.allow(
-            server, view.now
-        )
-        if breaker_ok and server not in self._unhealthy:
-            return server, False
-        avoided = self._avoided(view.now) | {server}
-        if len(avoided) >= self.num_servers:
-            return None, True
-        best = self._least_loaded(view.loads, avoided)
-        return best, True
-
     async def _serve_request(
         self, request: dict, writer: asyncio.StreamWriter
     ) -> None:
         request_id = request.get("id")
+        client_id = int(request.get("client", 0))
         arrival = self.clock.now()
         self.stats.offered += 1
-        if self._estimator is not None:
-            self._estimator.observe_arrival(arrival)
-        view = self.board.view(int(request.get("client", 0)), arrival)
-        if self.admission is not None and not self.admission.admit(view):
+        self._estimator.observe_arrival(arrival)
+        view = self.board.view(client_id, arrival)
+        core = self.core
+        server = core.dispatch(view, arrival)
+        if server == SHED:
             self.stats.shed += 1
-            send_message(
-                writer,
-                {"op": "done", "id": request_id, "ok": False, "error": "shed"},
-            )
+            _done(writer, request_id, ok=False, error="shed")
             return
-        server, blocked = self.select_server(view)
-        if blocked:
+        if server < 0:
             self.stats.breaker_blocked += 1
-        if server is None:
-            self.stats.rejected += 1
-            send_message(
-                writer,
-                {
-                    "op": "done",
-                    "id": request_id,
-                    "ok": False,
-                    "error": "breaker-open",
-                },
-            )
-            return
-        self.stats.dispatch_counts[server] += 1
+            if server == BLOCKED:
+                self.stats.rejected += 1
+                _done(writer, request_id, ok=False, error="breaker-open")
+                return
+            server = core.reroute(view.loads, arrival)
         if self.probes is not None:
             self.probes.on_dispatch(
-                arrival,
-                int(request.get("client", 0)),
-                server,
-                int(view.loads[server]) + 1,
+                arrival, client_id, server, int(view.loads[server]) + 1
             )
-        client_id = int(request.get("client", 0))
         reply, server = await self._dispatch_with_retries(server, client_id)
         done = self.clock.now()
         if reply.get("ok"):
             latency = done - arrival
             self.stats.completed += 1
+            self.stats.dispatch_counts[server] += 1
             self.stats.latencies.append(latency)
-            if self.breakers is not None:
-                self.breakers.record_success(server, done)
+            core.accepted(server, done)
             if self.probes is not None:
                 self.probes.on_job_complete(server, done, latency)
-            send_message(
-                writer,
-                {
-                    "op": "done",
-                    "id": request_id,
-                    "ok": True,
-                    "server": server,
-                    "latency": latency,
-                },
-            )
+            _done(writer, request_id, ok=True, server=server, latency=latency)
+            return
+        error = reply.get("error", "rejected")
+        if error == "retries-exhausted":
+            # A failure, as in the simulator, charged to the server that
+            # failed it; each discovery already fed the breaker.
+            self.stats.failed += 1
+            self.stats.dispatch_counts[server] += 1
+        elif error == "breaker-open":
+            # A retry found every remaining backend breaker-blocked.
+            self.stats.breaker_blocked += 1
+            self.stats.rejected += 1
         else:
-            error = reply.get("error", "rejected")
-            if error == "retries-exhausted":
-                # The simulator books exhausted retries as failures, not
-                # queue rejections; mirror that split.  The retry loop
-                # already charged each discovery to the breaker.
-                self.stats.failed += 1
-            else:
-                self.stats.rejected += 1
-                if self.breakers is not None:
-                    self.breakers.record_failure(server, done)
-            send_message(
-                writer,
-                {
-                    "op": "done",
-                    "id": request_id,
-                    "ok": False,
-                    "server": server,
-                    "error": error,
-                },
-            )
+            self.stats.rejected += 1
+            core.rejected(server, done)
+        _done(writer, request_id, ok=False, server=server, error=error)
 
     async def _dispatch_with_retries(
         self, server: int, client_id: int
     ) -> tuple[dict, int]:
         """Submit to ``server``; with a retry policy, survive crashes.
 
-        Mirrors the simulator's faulted dispatch path: a connection-
-        level failure (refused dial, lost stream) or confirmed silence
-        (no reply past ``retry.timeout`` *and* a failed fresh-connection
-        liveness probe) discovers the crash the hard way, bills the
-        *full* discovery timeout (a fast TCP reset sleeps out the
-        remainder — the simulator charges a fixed cost, so must we)
-        plus capped exponential backoff, trips the breaker, excludes the
-        server (resetting the exclusion set once it covers everyone) and
-        re-dispatches to the least-loaded non-excluded backend by the
-        stale board's lights.  Queue-full rejections are refused, never
-        retried — they already have their own storm machinery.
-
-        One deliberate infidelity, documented in DESIGN.md §15: stalled
-        (not killed) backends accept the probe dial and only fail it by
-        timeout, so stall-mode discovery costs up to one extra
-        ``retry.timeout`` beyond the simulator's fixed charge; and a
-        request abandoned on a stalled backend is still served by it
-        after resume (the wire protocol has no cancel), where the
-        simulator's redispatched jobs never were — phantom work the
-        board's own staleness then steers around.
+        A refused dial, a lost stream, or silence past ``retry.timeout``
+        confirmed by a failed liveness probe discovers a dead backend; the
+        dispatch core then decides the retry exactly as in the simulator,
+        and the full discovery timeout plus backoff is slept out before
+        redispatching by a fresh board view.  Queue-full rejections are
+        refused, never retried.  Stall-mode infidelities: DESIGN.md §15.
         """
-        retry = self.retry
+        core = self.core
+        retry = core.retry
         if retry is None:
             link = self._links[server]
             if not link.connected:
@@ -780,7 +687,7 @@ class LiveDispatcher:
             return reply, server
         loop = asyncio.get_running_loop()
         timeout_wall = self.clock.to_wall(retry.timeout)
-        excluded: set[int] = set()
+        excluded: frozenset[int] = frozenset()
         attempt = 0
         while True:
             link = self._links[server]
@@ -802,34 +709,30 @@ class LiveDispatcher:
             if reply.get("ok") or reply.get("error") == "queue-full":
                 return reply, server
             now = self.clock.now()
-            if self.breakers is not None:
-                self.breakers.record_failure(server, now)
-            if retry.max_attempts and attempt >= retry.max_attempts:
+            discovered = core.discover(server, attempt, excluded, now)
+            if discovered is None:
                 return {"ok": False, "error": "retries-exhausted"}, server
+            delay, excluded = discovered
             attempt += 1
-            excluded.add(server)
-            if len(excluded) >= self.num_servers:
-                excluded = set()
             self.stats.retries += 1
             on_retry = getattr(self.probes, "on_retry", None)
             if on_retry is not None:
                 on_retry(now, client_id, server, attempt)
-            backoff = retry.backoff_delay(attempt, self._retry_rng)
-            penalty_wall = max(
-                0.0, timeout_wall - (loop.time() - started)
-            ) + self.clock.to_wall(backoff)
+            # The delay counts from the dispatch: time already spent
+            # waiting on the dead backend is part of its timeout.
+            penalty_wall = self.clock.to_wall(delay) - min(
+                loop.time() - started, timeout_wall
+            )
             if penalty_wall > 0:
                 await asyncio.sleep(penalty_wall)
-            view = self.board.view(client_id, self.clock.now())
-            target = self._least_loaded(
-                view.loads, excluded | self._unhealthy
-            )
-            if target is None:
-                # Everything is excluded or drained; fall back to the
-                # bare exclusion set (the simulator's set can never
-                # cover the fleet after the reset above).
-                target = self._least_loaded(view.loads, excluded)
-            server = target if target is not None else server
+            now = self.clock.now()
+            loads = self.board.view(client_id, now).loads
+            target = core.redispatch(loads, now, excluded)
+            if target == BLOCKED:
+                return {"ok": False, "error": "breaker-open"}, server
+            if target == REROUTE:
+                target = core.reroute(loads, now, excluded)
+            server = target
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -849,14 +752,9 @@ class LiveDispatcher:
                 if request is None:
                     break
                 if not self._accepting:
-                    send_message(
-                        writer,
-                        {
-                            "op": "done",
-                            "id": request.get("id"),
-                            "ok": False,
-                            "error": "shutting-down",
-                        },
+                    _done(
+                        writer, request.get("id"), ok=False,
+                        error="shutting-down",
                     )
                     continue
                 serve = asyncio.create_task(

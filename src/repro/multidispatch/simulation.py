@@ -47,6 +47,7 @@ from repro.cluster.job import Job
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.server import Server
 from repro.cluster.simulation import SimulationResult, validate_dispatcher_count
+from repro.core.dispatch import REROUTE, SHED, DispatchCore
 from repro.core.policy import Policy
 from repro.core.rate_estimators import ExactRate, RateEstimator
 from repro.engine.rng import RandomStreams
@@ -54,6 +55,8 @@ from repro.engine.simulator import Simulator
 from repro.faults.schedule import FaultSchedule, ServerTimeline
 from repro.multidispatch.coordinator import ClusterCoordinator
 from repro.multidispatch.policies import MultiDispatcherPolicy
+from repro.overload.admission import ProbabilisticShed
+from repro.overload.breaker import BreakerBoard
 from repro.overload.config import OverloadConfig
 from repro.staleness.base import StalenessModel
 from repro.staleness.periodic import PeriodicUpdate
@@ -405,48 +408,20 @@ class MultiDispatchSimulation:
 
         # Breakers and admission are dispatcher-local: each front-end
         # learns only from the dispatches it issued itself.
-        breaker_boards = None
-        if overload_active and overload.breaker is not None:
-            from repro.overload.breaker import BreakerBoard
-
-            on_transition = (
-                probe_set.on_breaker_transition if probe_set is not None else None
-            )
-            breaker_boards = [
-                BreakerBoard(
-                    n,
-                    overload.breaker,
-                    rng=(
-                        streams.stream(self._stream_label("breaker", d))
-                        if overload.breaker.cooldown_jitter > 0
-                        else None
-                    ),
-                    on_transition=on_transition,
-                )
-                for d in range(m)
-            ]
-        admissions = None
-        if overload_active and overload.sheds:
-            from repro.overload.admission import ProbabilisticShed
-
-            admissions = []
-            for d in range(m):
-                policy_d = copy.deepcopy(overload.admission)
-                policy_d.bind(
-                    n,
-                    (
-                        streams.stream(self._stream_label("admission", d))
-                        if isinstance(policy_d, ProbabilisticShed)
-                        else None
-                    ),
-                )
-                admissions.append(policy_d)
+        breaker = overload.breaker if overload_active else None
+        admission = (
+            overload.admission if overload_active and overload.sheds else None
+        )
+        on_transition = (
+            probe_set.on_breaker_transition if probe_set is not None else None
+        )
 
         server_rates_arr = np.asarray(rates, dtype=np.float64)
         rates_d = self.dispatcher_rates()
         estimators: list[RateEstimator] = []
-        policies: list[Policy] = []
+        cores: list[DispatchCore] = []
         coordinator: ClusterCoordinator | None = None
+        track_idle = False
         for d in range(m):
             estimator = (
                 ExactRate()
@@ -470,13 +445,31 @@ class MultiDispatchSimulation:
                         sim, servers, m, streams.stream("coordination")
                     )
                 policy.attach_coordinator(coordinator, d)
+                track_idle = track_idle or policy.needs_idle_reports
+            breakers_d = admission_d = None
+            if breaker is not None:
+                breakers_d = BreakerBoard(
+                    n,
+                    breaker,
+                    rng=(
+                        streams.stream(self._stream_label("breaker", d))
+                        if breaker.cooldown_jitter > 0
+                        else None
+                    ),
+                    on_transition=on_transition,
+                )
+            if admission is not None:
+                admission_d = copy.deepcopy(admission)
+                admission_d.bind(
+                    n,
+                    (
+                        streams.stream(self._stream_label("admission", d))
+                        if isinstance(admission_d, ProbabilisticShed)
+                        else None
+                    ),
+                )
             estimators.append(estimator)
-            policies.append(policy)
-        track_idle = any(
-            policy.needs_idle_reports
-            for policy in policies
-            if isinstance(policy, MultiDispatcherPolicy)
-        )
+            cores.append(DispatchCore(n, policy, admission_d, breakers_d))
 
         timelines = None
         if self.dispatcher_faults is not None:
@@ -523,53 +516,28 @@ class MultiDispatchSimulation:
                 jobs_redirected += 1
             estimators[handler].observe_arrival(now)
             view = boards[handler].view(handler, now)
-            if admissions is not None and not admissions[handler].admit(view):
+            core = cores[handler]
+            server_id = core.dispatch(view, now)
+            if server_id == REROUTE:
+                # Route around the tripped server by this dispatcher's own
+                # view and breakers.
+                server_id = core.reroute(view.loads, now)
+            elif server_id < 0:
+                # Shed, or blocked on every server: the job is dropped.
+                shed = server_id == SHED
                 arrivals_seen += 1
-                metrics.record_shed()
+                if shed:
+                    metrics.record_shed()
                 metrics.record_drop()
                 if probe_set is not None:
-                    probe_set.on_job_shed(now, handler)
-                    probe_set.on_job_failed(now, -1, "shed")
+                    if shed:
+                        probe_set.on_job_shed(now, handler)
+                    probe_set.on_job_failed(
+                        now, -1, "shed" if shed else "breaker-blocked"
+                    )
                 if arrivals_seen >= self.total_jobs:
                     sim.stop()
                 return
-            server_id = policies[handler].select(view)
-            if not 0 <= server_id < n:
-                raise RuntimeError(
-                    f"{type(policies[handler]).__name__} selected invalid "
-                    f"server {server_id} (cluster size {n})"
-                )
-            breakers_d = (
-                breaker_boards[handler] if breaker_boards is not None else None
-            )
-            if breakers_d is not None and not breakers_d.allow(server_id, now):
-                # Route around the tripped server: least *reported* load
-                # among the servers this dispatcher's breakers permit,
-                # lowest id on ties; drop if every server is blocked.
-                blocked = frozenset(
-                    candidate
-                    for candidate in range(n)
-                    if breakers_d.blocks(candidate, now)
-                )
-                if len(blocked) >= n:
-                    arrivals_seen += 1
-                    metrics.record_drop()
-                    if probe_set is not None:
-                        probe_set.on_job_failed(now, -1, "breaker-blocked")
-                    if arrivals_seen >= self.total_jobs:
-                        sim.stop()
-                    return
-                loads = view.loads
-                best = -1
-                best_load = math.inf
-                for candidate in range(n):
-                    if candidate in blocked:
-                        continue
-                    if loads[candidate] < best_load:
-                        best_load = loads[candidate]
-                        best = candidate
-                server_id = best
-                breakers_d.allow(server_id, now)  # may claim a probe slot
             service_time = self.service.sample(service_rng)
             index = arrivals_seen
             arrivals_seen += 1
@@ -581,8 +549,7 @@ class MultiDispatchSimulation:
                 if accepted is None:
                     metrics.record_reject(server_id)
                     metrics.record_drop()
-                    if breakers_d is not None:
-                        breakers_d.record_failure(server_id, now)
+                    core.rejected(server_id, now)
                     if probe_set is not None:
                         probe_set.on_job_rejected(now, server_id)
                         probe_set.on_job_failed(now, -1, "queue-full")
@@ -590,8 +557,7 @@ class MultiDispatchSimulation:
                         sim.stop()
                     return
                 completion = accepted
-            if breakers_d is not None:
-                breakers_d.record_success(server_id, now)
+            core.accepted(server_id, now)
             boards[handler].on_dispatch(handler, server_id, now)
             response = completion - now
             if latency is not None:
@@ -634,9 +600,9 @@ class MultiDispatchSimulation:
                 partial(self._fire, on_arrival, d),
             )
         sim.run()
-        if breaker_boards is not None:
-            for board in breaker_boards:
-                board.finalize(sim.now)
+        if breaker is not None:
+            for core in cores:
+                core.breakers.finalize(sim.now)
         if probe_set is not None:
             probe_set.on_finish(sim.now)
 
@@ -656,8 +622,8 @@ class MultiDispatchSimulation:
             jobs_shed=metrics.jobs_shed,
             jobs_dropped=metrics.jobs_dropped,
             breaker_trips=(
-                sum(board.trips_total for board in breaker_boards)
-                if breaker_boards is not None
+                sum(core.breakers.trips_total for core in cores)
+                if breaker is not None
                 else 0
             ),
             rejected_counts=(

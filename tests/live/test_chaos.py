@@ -33,6 +33,7 @@ from repro.live.dispatcher import (
 from repro.live.protocol import LiveClock, read_message, send_message
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
+from repro.overload.breaker import BreakerConfig
 
 
 class _Always(Policy):
@@ -562,6 +563,12 @@ class _ChaosCluster:
         await self.board.stop()
         for backend in self.backends:
             await backend.stop()
+        if exc[0] is None:
+            # Every offered request ends in exactly one terminal state.
+            stats = self.dispatcher.stats
+            assert stats.offered == (
+                stats.completed + stats.shed + stats.rejected + stats.failed
+            )
 
     async def request(self, reader, writer, request_id):
         send_message(writer, {"op": "req", "id": request_id, "client": 0})
@@ -586,6 +593,80 @@ class TestRetryPath:
                 stats = cluster.dispatcher.stats
                 assert stats.retries >= 1
                 assert stats.completed == 1
+
+        asyncio.run(scenario())
+
+    def test_dispatch_counts_charge_the_server_that_served(self):
+        async def scenario():
+            retry = RetryPolicy(timeout=5.0, backoff_base=0.1)
+            async with _ChaosCluster(n=2, retry=retry) as cluster:
+                await cluster.backends[0].kill()
+                reader, writer = await asyncio.open_connection(
+                    *cluster.dispatcher.address
+                )
+                replies = [
+                    await cluster.request(reader, writer, request_id)
+                    for request_id in range(3)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                assert [reply["server"] for reply in replies] == [1, 1, 1]
+                stats = cluster.dispatcher.stats
+                # The policy picked backend 0 every time; backend 1 served.
+                assert stats.dispatch_counts.tolist() == [0, 3]
+
+        asyncio.run(scenario())
+
+    def test_retry_passes_the_breaker_gate(self):
+        async def scenario():
+            # A generous timeout: only the kill may count as discovery.
+            retry = RetryPolicy(timeout=5.0, backoff_base=0.1)
+            breakers = BreakerConfig(failure_threshold=1, cooldown=1e6)
+            async with _ChaosCluster(
+                n=3, retry=retry, breaker_config=breakers
+            ) as cluster:
+                await cluster.backends[0].kill()
+                cluster.dispatcher.breakers.record_failure(
+                    1, cluster.clock.now()
+                )
+                reader, writer = await asyncio.open_connection(
+                    *cluster.dispatcher.address
+                )
+                reply = await cluster.request(reader, writer, 1)
+                writer.close()
+                await writer.wait_closed()
+                # Backends 1 and 2 tie on the board; 1's breaker is open,
+                # so the retry reroutes to 2.
+                assert reply["ok"]
+                assert reply["server"] == 2
+                assert cluster.dispatcher.stats.retries == 1
+
+        asyncio.run(scenario())
+
+    def test_retry_with_every_backend_blocked_is_refused(self):
+        async def scenario():
+            # A generous timeout: only the kill may count as discovery.
+            retry = RetryPolicy(timeout=5.0, backoff_base=0.1)
+            breakers = BreakerConfig(failure_threshold=1, cooldown=1e6)
+            async with _ChaosCluster(
+                n=2, retry=retry, breaker_config=breakers
+            ) as cluster:
+                await cluster.backends[0].kill()
+                cluster.dispatcher.breakers.record_failure(
+                    1, cluster.clock.now()
+                )
+                reader, writer = await asyncio.open_connection(
+                    *cluster.dispatcher.address
+                )
+                reply = await cluster.request(reader, writer, 1)
+                writer.close()
+                await writer.wait_closed()
+                assert reply["ok"] is False
+                assert reply["error"] == "breaker-open"
+                stats = cluster.dispatcher.stats
+                assert stats.retries == 1
+                assert stats.rejected == stats.breaker_blocked == 1
+                assert stats.dispatch_counts.tolist() == [0, 0]
 
         asyncio.run(scenario())
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.policy import Policy
 from repro.core.random_policy import RandomPolicy
-from repro.core.views import LoadView
 from repro.live.backend import BackendServer
 from repro.live.board import BulletinBoard
 from repro.live.dispatcher import DispatcherStats, LiveDispatcher
@@ -30,19 +29,6 @@ class _Always(Policy):
 
     def select(self, view) -> int:
         return self._choice
-
-
-def _view(loads, now=10.0):
-    return LoadView(
-        loads=np.asarray(loads, dtype=np.float64),
-        version=1,
-        info_time=now - 1.0,
-        now=now,
-        horizon=4.0,
-        elapsed=1.0,
-        known_age=True,
-        phase_based=True,
-    )
 
 
 class _Cluster:
@@ -91,6 +77,12 @@ class _Cluster:
         await self.board.stop()
         for backend in self.backends:
             await backend.stop()
+        if exc[0] is None:
+            # Every offered request ends in exactly one terminal state.
+            stats = self.dispatcher.stats
+            assert stats.offered == (
+                stats.completed + stats.shed + stats.rejected + stats.failed
+            )
 
     async def request(self, reader, writer, request_id):
         send_message(
@@ -115,50 +107,6 @@ class TestStats:
         summary = stats.summary()
         assert summary["completed"] == 7
         assert summary["dispatch_counts"] == [0, 0]
-
-
-class TestSelectServer:
-    def _dispatcher(self, policy, breaker_config=None):
-        board = BulletinBoard([("h", 1), ("h", 2), ("h", 3)], 4.0, LiveClock())
-        return LiveDispatcher(
-            [("h", 1), ("h", 2), ("h", 3)],
-            board,
-            policy,
-            LiveClock(),
-            breaker_config=breaker_config,
-            seed=1,
-        )
-
-    def test_without_breakers_returns_policy_choice(self):
-        dispatcher = self._dispatcher(_Always(2))
-        server, blocked = dispatcher.select_server(_view([3.0, 1.0, 2.0]))
-        assert (server, blocked) == (2, False)
-
-    def test_blocked_choice_reroutes_to_least_loaded(self):
-        dispatcher = self._dispatcher(
-            _Always(0), BreakerConfig(failure_threshold=1, cooldown=1000.0)
-        )
-        dispatcher.breakers.record_failure(0, 10.0)
-        server, blocked = dispatcher.select_server(_view([0.0, 5.0, 2.0]))
-        assert blocked
-        assert server == 2  # least loaded unblocked backend
-
-    def test_tie_breaks_to_lowest_index(self):
-        dispatcher = self._dispatcher(
-            _Always(0), BreakerConfig(failure_threshold=1, cooldown=1000.0)
-        )
-        dispatcher.breakers.record_failure(0, 10.0)
-        server, _ = dispatcher.select_server(_view([0.0, 2.0, 2.0]))
-        assert server == 1
-
-    def test_all_blocked_returns_none(self):
-        dispatcher = self._dispatcher(
-            _Always(0), BreakerConfig(failure_threshold=1, cooldown=1000.0)
-        )
-        for server_id in range(3):
-            dispatcher.breakers.record_failure(server_id, 10.0)
-        server, blocked = dispatcher.select_server(_view([1.0, 1.0, 1.0]))
-        assert server is None and blocked
 
 
 class TestEndToEnd:
