@@ -330,11 +330,15 @@ class ClusterSimulation:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
             )
-        if server_rates is not None and len(server_rates) != num_servers:
-            raise ValueError(
-                f"server_rates has {len(server_rates)} entries for "
-                f"{num_servers} servers"
-            )
+        if server_rates is not None:
+            # One form for every engine (and for run IDs): a list of
+            # floats, whether the caller passed a list, tuple or array.
+            server_rates = [float(rate) for rate in server_rates]
+            if len(server_rates) != num_servers:
+                raise ValueError(
+                    f"server_rates has {len(server_rates)} entries for "
+                    f"{num_servers} servers"
+                )
         if client_latency is not None:
             client_latency = np.asarray(client_latency, dtype=np.float64)
             if client_latency.ndim != 2 or client_latency.shape[1] != num_servers:
@@ -754,7 +758,9 @@ class ClusterSimulation:
         """The reference event-driven engine (one heap event per arrival)."""
         streams = RandomStreams(self.seed)
         sim = Simulator()
-        rates = self.server_rates or [1.0] * self.num_servers
+        rates = self.server_rates
+        if rates is None:
+            rates = [1.0] * self.num_servers
 
         overload = self.overload if self.overload is not None else None
         overload_active = overload is not None and overload.active

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from repro.core.policy import Policy
-from repro.core.weights import waterfill_probabilities
+from repro.core.weights import LIST_MAX_SERVERS, waterfill_probabilities
 from repro.core.views import LoadView
 
 __all__ = ["BasicLIPolicy"]
@@ -58,7 +61,7 @@ class BasicLIPolicy(Policy):
         if timestamp_aware:
             self.name = "basic-li(ts)"
         self._cached_version: int | None = None
-        self._cached_cumulative: np.ndarray | None = None
+        self._cached_cumulative: list[float] | np.ndarray | None = None
 
     def _on_bind(self) -> None:
         # A policy object may be reused across runs; version counters
@@ -81,16 +84,44 @@ class BasicLIPolicy(Policy):
         expected_arrivals = (
             self.rate_estimator.per_server_rate() * self.num_servers * window
         )
-        probabilities = waterfill_probabilities(view.loads, expected_arrivals)
-        cumulative = np.cumsum(probabilities)
+        cumulative = self._cumulative(
+            waterfill_probabilities(view.loads, expected_arrivals)
+        )
         if view.phase_based and not overdue:
             self._cached_version = view.version
             self._cached_cumulative = cumulative
         return self._sample_cumulative(cumulative)
 
-    def _sample_cumulative(self, cumulative: np.ndarray) -> int:
+    def _cumulative(self, probabilities: np.ndarray) -> list[float] | np.ndarray:
+        """The inverse-transform table: a list on small clusters.
+
+        ``accumulate`` adds sequentially, as ``np.cumsum`` does, so both
+        tables hold the same floats; ``bisect_right`` on the list and
+        ``np.searchsorted(side="right")`` on the array pick the same
+        index for the same draw.
+        """
+        if self.num_servers <= LIST_MAX_SERVERS:
+            return list(accumulate(probabilities.tolist()))
+        return np.cumsum(probabilities)
+
+    def _sample_cumulative(self, cumulative: list[float] | np.ndarray) -> int:
         u = self._random() * cumulative[-1]
+        if type(cumulative) is list:
+            return bisect_right(cumulative, u)
         return int(np.searchsorted(cumulative, u, side="right"))
+
+    @staticmethod
+    def _lookup(cumulative: list[float] | np.ndarray, uniforms: np.ndarray):
+        """Selections for a batch of uniforms: a list or an index array.
+
+        A list table is bisected draw by draw for a batch of at most
+        ``LIST_MAX_SERVERS`` draws; past that one ``searchsorted`` call is
+        cheaper than the Python loop.
+        """
+        top = cumulative[-1]
+        if type(cumulative) is list and uniforms.size <= LIST_MAX_SERVERS:
+            return [bisect_right(cumulative, u * top) for u in uniforms.tolist()]
+        return np.searchsorted(cumulative, uniforms * top, side="right")
 
     def phase_batchable(self, num_servers: int) -> bool:
         return True
@@ -110,11 +141,9 @@ class BasicLIPolicy(Policy):
         """
         window = view.effective_window
         uniforms = self._random(arrival_times.size)
-        expected_arrivals = (
-            self.rate_estimator.per_server_rate() * self.num_servers * window
-        )
-        cumulative = np.cumsum(
-            waterfill_probabilities(view.loads, expected_arrivals)
+        per_server = self.rate_estimator.per_server_rate() * self.num_servers
+        cumulative = self._cumulative(
+            waterfill_probabilities(view.loads, per_server * window)
         )
         overdue = None
         if self.timestamp_aware:
@@ -124,22 +153,15 @@ class BasicLIPolicy(Policy):
             if view.phase_based:
                 self._cached_version = view.version
                 self._cached_cumulative = cumulative
-            return np.searchsorted(
-                cumulative, uniforms * cumulative[-1], side="right"
-            )
+            return self._lookup(cumulative, uniforms)
         selections = np.empty(arrival_times.size, dtype=np.int64)
         fresh = ~overdue
-        selections[fresh] = np.searchsorted(
-            cumulative, uniforms[fresh] * cumulative[-1], side="right"
-        )
-        per_server = self.rate_estimator.per_server_rate() * self.num_servers
+        selections[fresh] = self._lookup(cumulative, uniforms[fresh])
         for i in np.flatnonzero(overdue):
-            widened = np.cumsum(
-                waterfill_probabilities(view.loads, per_server * elapsed[i])
+            widened = self._cumulative(
+                waterfill_probabilities(view.loads, float(per_server * elapsed[i]))
             )
-            selections[i] = np.searchsorted(
-                widened, uniforms[i] * widened[-1], side="right"
-            )
+            selections[i] = self._lookup(widened, uniforms[i:i + 1])[0]
         if view.phase_based and fresh.any():
             self._cached_version = view.version
             self._cached_cumulative = cumulative

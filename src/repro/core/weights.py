@@ -27,11 +27,103 @@ import math
 import numpy as np
 
 __all__ = [
+    "LIST_MAX_SERVERS",
+    "pairwise_sum",
     "waterfill_probabilities",
     "waterfill_level",
     "weighted_waterfill_probabilities",
     "equalization_boundaries",
 ]
+
+#: Cutover between Python-list and numpy per-phase work.  Clusters of at
+#: most this many servers water-fill on lists (here) and keep Basic LI's
+#: cumulative vector as a list, bisected for batches of at most this many
+#: draws; the phase-batch kernel keeps its board on lists when the
+#: servers plus the expected arrivals per phase fit within it.  List work
+#: grows with the items it touches while a numpy call's fixed overhead
+#: hardly does, and at ten items the overhead dominates several times
+#: over.  Measured on a 2-vCPU x86-64 VM (DESIGN.md §8 has the table).
+LIST_MAX_SERVERS = 48
+
+#: numpy's pairwise summation: blocks shorter than this add sequentially,
+#: blocks up to :data:`_PAIRWISE_BLOCK` add in eight interleaved
+#: accumulators, longer ones split in two (``pairwise_sum`` in numpy's
+#: ``loops_utils.h``).
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """``np.add.reduce`` of a float64 vector, bit for bit, on a list.
+
+    Floating-point addition is not associative, so a total that must
+    equal numpy's has to add in numpy's order: the reduction starts from
+    the identity ``0.0`` and adds the pairwise sum of all elements.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: list[float], start: int, count: int) -> float:
+    if count < _PAIRWISE_UNROLL:
+        total = 0.0
+        for value in values[start:start + count]:
+            total += value
+        return total
+    if count <= _PAIRWISE_BLOCK:
+        stop = start + count
+        blocks_end = stop - count % _PAIRWISE_UNROLL
+        r = values[start:start + _PAIRWISE_UNROLL]
+        for block in range(start + _PAIRWISE_UNROLL, blocks_end, _PAIRWISE_UNROLL):
+            r = [a + b for a, b in zip(r, values[block:block + _PAIRWISE_UNROLL])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[blocks_end:stop]:
+            total += value
+        return total
+    half = count // 2
+    half -= half % _PAIRWISE_UNROLL
+    return _pairwise(values, start, half) + _pairwise(
+        values, start + half, count - half
+    )
+
+
+def _waterfill_list(
+    values: list[float], expected_arrivals: float
+) -> list[float] | None:
+    """:func:`waterfill_probabilities`' main case on Python floats.
+
+    Every step repeats the numpy formula's arithmetic in its order — a
+    sequential prefix (``np.cumsum``), the level ``(prefix + R) / c``,
+    ``max(level - q, 0)`` and numpy's pairwise total — so the result is
+    bit-identical.  Returns ``None`` when the input needs the numpy path:
+    a load that is negative or not finite, ``R`` that is zero or invalid
+    (those paths raise or special-case), or a total that collapsed to 0.
+    """
+    if not 0.0 < expected_arrivals < math.inf:
+        return None
+    sorted_loads = sorted(values)
+    # A NaN anywhere makes the prefix NaN and a +inf makes it inf, so
+    # the two range tests below reject every load the numpy path would.
+    if not sorted_loads[0] >= 0.0:
+        return None
+    prefix = 0.0
+    count = 0
+    level = 0.0
+    # The level is that of the largest c whose level stays at or above
+    # the c-th smallest load; c = 1 always qualifies since R > 0.
+    for load in sorted_loads:
+        prefix += load
+        count += 1
+        candidate = (prefix + expected_arrivals) / count
+        if candidate >= load:
+            level = candidate
+    if not prefix < math.inf:
+        return None
+    deficits = [level - load if level > load else 0.0 for load in values]
+    total = pairwise_sum(deficits)
+    if total <= 0.0:
+        return None
+    return [deficit / total for deficit in deficits]
+
 
 # The 1..n ladder used to turn load prefixes into candidate water levels.
 # Cached per cluster size: the vector is immutable in every use below and
@@ -106,6 +198,14 @@ def waterfill_probabilities(
     """
     loads = np.asarray(loads, dtype=np.float64)
     n = loads.size
+    if (
+        0 < n <= LIST_MAX_SERVERS
+        and loads.ndim == 1
+        and isinstance(expected_arrivals, (int, float))
+    ):
+        probabilities = _waterfill_list(loads.tolist(), float(expected_arrivals))
+        if probabilities is not None:
+            return np.array(probabilities)
     if n == 0:
         raise ValueError("need at least one server")
     _check_finite_loads(loads)

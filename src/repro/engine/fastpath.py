@@ -10,6 +10,12 @@ Welford fold and job trace; each phase's FCFS step then runs on one of two
 integrators, chosen from the batch's shape (:data:`VECTOR_MIN_JOBS_PER_ROUND`):
 :func:`_fcfs_scalar`, one Python iteration per job, or
 :func:`_fcfs_rounds`, one numpy step per round of a ``(rounds, n)`` grid.
+The per-server state both advance lives on one of two boards, chosen per
+run: :class:`_ListBoard` on Python lists when the servers plus the
+expected arrivals of a phase fit within
+:data:`~repro.core.weights.LIST_MAX_SERVERS`, so a short phase on a small
+cluster pays almost no numpy call overhead, and :class:`_ArrayBoard`
+otherwise.
 
 The contract this module guarantees — and the cross-engine equivalence
 tests enforce — is **bit-identity**: the kernel consumes the same named
@@ -53,10 +59,12 @@ to the event engine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from repro.cluster.job import Job
+from repro.core.weights import LIST_MAX_SERVERS
 from repro.engine.rng import RandomStreams
 from repro.staleness.base import LoadView
 from repro.staleness.lossy import LossyPeriodicUpdate
@@ -124,25 +132,73 @@ def _refresh_attempt_times(period: float, last_arrival: float) -> list[float]:
     return times
 
 
-class _BoardState:
+def _checked_array(selections, count: int, num_servers: int, policy) -> np.ndarray:
+    """``select_batch`` output as an int64 array, or a loud error."""
+    selections = np.asarray(selections)
+    if selections.shape != (count,) or (
+        (selections < 0) | (selections >= num_servers)
+    ).any():
+        _invalid_selections(policy, count, num_servers)
+    return selections.astype(np.int64, copy=False)
+
+
+def _invalid_selections(policy, count: int, num_servers: int):
+    raise RuntimeError(
+        f"{type(policy).__name__}.select_batch returned invalid "
+        f"selections for a batch of {count} arrivals "
+        f"(cluster size {num_servers})"
+    )
+
+
+class _ArrayBoard:
     """Per-server FCFS state both integrators advance, and its board view.
 
     ``last_completion`` is each server's latest completion time.  The
     outstanding set holds (server, completion) pairs of dispatched jobs
     not yet seen departed; each sample filters it, so a sample costs
-    O(outstanding + latest batch), not O(all jobs so far).
+    O(outstanding + latest batch), not O(all jobs so far).  Every
+    dispatch is also recorded in arrival order for the run's result.
     """
 
-    def __init__(self, num_servers: int, metric: str) -> None:
+    def __init__(self, num_servers: int, metric: str, total_jobs: int) -> None:
         self.num_servers = num_servers
         self.metric = metric
         self.last_completion = np.zeros(num_servers, dtype=np.float64)
         self._servers = np.empty(0, dtype=np.int64)
         self._completions = np.empty(0, dtype=np.float64)
+        self._all_servers = np.empty(total_jobs, dtype=np.int64)
+        self._all_completions = np.empty(total_jobs, dtype=np.float64)
+        self._recorded = 0
 
-    def dispatched(self, servers: np.ndarray, completions: np.ndarray) -> None:
+    def checked(self, selections, count: int, policy) -> np.ndarray:
+        return _checked_array(selections, count, self.num_servers, policy)
+
+    def fcfs_scalar(self, arrivals, services, servers, rates) -> list[float]:
+        last = self.last_completion.tolist()
+        completions = _fcfs_scalar(
+            last, arrivals.tolist(), services.tolist(), servers.tolist(), rates
+        )
+        self.last_completion[:] = last
+        return completions
+
+    def fcfs_rounds(self, arrivals, services, servers, counts, rates) -> np.ndarray:
+        return _fcfs_rounds(
+            self.last_completion, arrivals, services, servers, counts, rates
+        )
+
+    def dispatched(self, servers: np.ndarray, completions) -> None:
+        low = self._recorded
+        self._recorded = high = low + servers.size
+        self._all_servers[low:high] = servers
+        self._all_completions[low:high] = completions
         self._servers = np.concatenate((self._servers, servers))
-        self._completions = np.concatenate((self._completions, completions))
+        self._completions = np.concatenate(
+            (self._completions, self._all_completions[low:high])
+        )
+
+    def record(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every dispatch's server and completion time, in arrival order."""
+        return self._all_servers, self._all_completions
 
     def sample(self, at_time: float) -> np.ndarray:
         """The load report the event engine would sample at ``at_time``.
@@ -164,26 +220,101 @@ class _BoardState:
         return queue_lengths.astype(np.float64)
 
 
-def _fcfs_scalar(board, arrivals, services, servers, rates) -> list[float]:
+class _ListBoard:
+    """:class:`_ArrayBoard` on Python lists, for small clusters.
+
+    Each server keeps a list of its outstanding completion times.  FCFS
+    completions of one server never decrease, so the list stays sorted:
+    a sample cuts off the prefix at or before ``at_time`` with one
+    ``bisect_right``, leaving exactly the jobs still queued.  The queue
+    length is the list's length and the work backlog of a busy server is
+    ``last_completion - at_time``, the same floats the array board
+    reports.  Selections, arrivals and service times arrive as lists, so
+    a scalar phase makes no numpy call here but building the sampled
+    ``loads``.
+    """
+
+    def __init__(self, num_servers: int, metric: str) -> None:
+        self.num_servers = num_servers
+        self.metric = metric
+        self.last_completion = [0.0] * num_servers
+        self._queues: list[list[float]] = [[] for _ in range(num_servers)]
+        self._all_servers: list[int] = []
+        self._all_completions: list[float] = []
+
+    def checked(self, selections, count: int, policy) -> list[int]:
+        if type(selections) is not list:
+            return _checked_array(
+                selections, count, self.num_servers, policy
+            ).tolist()
+        if (
+            len(selections) != count
+            or min(selections) < 0
+            or max(selections) >= self.num_servers
+        ):
+            _invalid_selections(policy, count, self.num_servers)
+        return selections
+
+    def fcfs_scalar(self, arrivals, services, servers, rates) -> list[float]:
+        return _fcfs_scalar(self.last_completion, arrivals, services, servers, rates)
+
+    def fcfs_rounds(self, arrivals, services, servers, counts, rates) -> list[float]:
+        last = np.array(self.last_completion)
+        completions = _fcfs_rounds(
+            last, arrivals, services, np.array(servers, dtype=np.int64), counts, rates
+        )
+        self.last_completion = last.tolist()
+        return completions.tolist()
+
+    def dispatched(self, servers: list[int], completions: list[float]) -> None:
+        queues = self._queues
+        for server, completion in zip(servers, completions):
+            queues[server].append(completion)
+        self._all_servers += servers
+        self._all_completions += completions
+
+    def record(self) -> tuple[np.ndarray, np.ndarray]:
+        count = len(self._all_servers)
+        return (
+            np.fromiter(self._all_servers, dtype=np.int64, count=count),
+            np.fromiter(self._all_completions, dtype=np.float64, count=count),
+        )
+
+    def sample(self, at_time: float) -> np.ndarray:
+        queues = self._queues
+        for queue in queues:
+            departed = bisect_right(queue, at_time)
+            if departed:
+                del queue[:departed]
+        if self.metric == "work-backlog":
+            return np.array(
+                [
+                    last - at_time if queue else 0.0
+                    for queue, last in zip(queues, self.last_completion)
+                ],
+                dtype=np.float64,
+            )
+        return np.array(list(map(len, queues)), dtype=np.float64)
+
+
+def _fcfs_scalar(last, arrivals, services, servers, rates) -> list[float]:
     """FCFS completions of one phase, one Python iteration per job:
-    ``completion = max(arrival, last) + service / rate`` per server."""
-    last = board.last_completion.tolist()
+    ``completion = max(arrival, last) + service / rate`` per server.
+    Takes and advances ``last``, the per-server last completions, as a
+    list; the other arguments are sequences of Python numbers."""
     completions = []
     append = completions.append
-    for arrival, service, server in zip(
-        arrivals.tolist(), services.tolist(), servers.tolist()
-    ):
+    for arrival, service, server in zip(arrivals, services, servers):
         previous = last[server]
         completion = (
             arrival if arrival > previous else previous
         ) + service / rates[server]
         last[server] = completion
         append(completion)
-    board.last_completion[:] = last
     return completions
 
 
-def _fcfs_rounds(board, arrivals, services, servers, counts, rates) -> np.ndarray:
+def _fcfs_rounds(last, arrivals, services, servers, counts, rates) -> np.ndarray:
     """FCFS completions of one phase, one numpy step per round.
 
     Jobs are grouped by server (stable sort: within-server order holds)
@@ -191,25 +322,27 @@ def _fcfs_rounds(board, arrivals, services, servers, counts, rates) -> np.ndarra
     ``r``-th job of the phase.  IEEE 754 elementwise ``maximum``, ``/``
     and ``+`` are bitwise equal to the scalar loop's operations, and a
     padding cell (arrival 0, service 0) gives ``max(0.0, last) + 0.0 ==
-    last`` exactly, since completions are non-negative.
+    last`` exactly, since completions are non-negative.  ``last``, the
+    per-server last completions, is an array advanced in place.
     """
+    num_servers = last.size
     # Server ids fit in 16 bits for clusters up to 65,536 servers, where
     # numpy's stable sort is a radix sort: O(batch) instead of O(b log b).
-    key = servers.astype(np.min_scalar_type(board.num_servers - 1))
+    key = servers.astype(np.min_scalar_type(num_servers - 1))
     order = np.argsort(key, kind="stable")
     sorted_servers = servers[order]
     position = np.arange(servers.size) - (np.cumsum(counts) - counts)[sorted_servers]
-    grid = np.zeros((int(counts.max()), board.num_servers), dtype=np.float64)
+    grid = np.zeros((int(counts.max()), num_servers), dtype=np.float64)
     scaled = np.zeros_like(grid)
     grid[position, sorted_servers] = arrivals[order]
     scaled[position, sorted_servers] = services[order] / rates[sorted_servers]
     # In place: each row turns from arrivals into completions.
-    previous = board.last_completion
+    previous = last
     for row, work in zip(grid, scaled):
         np.maximum(row, previous, out=row)
         row += work
         previous = row
-    board.last_completion[:] = previous
+    last[:] = previous
     completions = np.empty(servers.size, dtype=np.float64)
     completions[order] = grid[position, sorted_servers]
     return completions
@@ -232,7 +365,9 @@ def run_fast_path(simulation, min_jobs_per_round: int = VECTOR_MIN_JOBS_PER_ROUN
     period = staleness.period
     arrival_rate = simulation.arrivals.total_rate
     total_jobs = simulation.total_jobs
-    rates = simulation.server_rates or [1.0] * num_servers
+    rates = simulation.server_rates
+    if rates is None:
+        rates = [1.0] * num_servers
     validate_fast_path_inputs(
         num_servers, arrival_rate, period, rates, total_jobs
     )
@@ -278,9 +413,18 @@ def run_fast_path(simulation, min_jobs_per_round: int = VECTOR_MIN_JOBS_PER_ROUN
 
     policy = simulation.policy
     rate_list = rate_vector.tolist()
-    board = _BoardState(num_servers, staleness.metric)
-    all_selections = np.empty(total_jobs, dtype=np.int64)
-    all_completions = np.empty(total_jobs, dtype=np.float64)
+    # Short phases on small clusters run on Python lists: list work grows
+    # with the servers sampled plus the jobs dispatched per phase, while
+    # the array board's cost is nearly flat.  The arrays are then touched
+    # once per run here and once per phase by the policy's draw.
+    if num_servers + arrival_rate * period <= LIST_MAX_SERVERS:
+        board = _ListBoard(num_servers, staleness.metric)
+        arrival_seq = arrival_times.tolist()
+        service_seq = service_times.tolist()
+    else:
+        board = _ArrayBoard(num_servers, staleness.metric, total_jobs)
+        arrival_seq = arrival_times
+        service_seq = service_times
     scalar_phases = vector_phases = 0
 
     for phase, (low, high) in enumerate(zip(phase_bounds, phase_bounds[1:])):
@@ -293,7 +437,7 @@ def run_fast_path(simulation, min_jobs_per_round: int = VECTOR_MIN_JOBS_PER_ROUN
             info_time = 0.0
             loads = np.zeros(num_servers, dtype=np.float64)  # exact at t = 0
         batch_times = arrival_times[low:high]
-        first_arrival = float(batch_times[0])
+        first_arrival = float(arrival_seq[low])
         view = LoadView(
             loads=loads,
             version=phase,
@@ -305,35 +449,27 @@ def run_fast_path(simulation, min_jobs_per_round: int = VECTOR_MIN_JOBS_PER_ROUN
             phase_based=True,
             client_id=0,
         )
-        selections = np.asarray(policy.select_batch(view, batch_times))
-        if selections.shape != (high - low,) or (
-            (selections < 0) | (selections >= num_servers)
-        ).any():
-            raise RuntimeError(
-                f"{type(policy).__name__}.select_batch returned invalid "
-                f"selections for a batch of {high - low} arrivals "
-                f"(cluster size {num_servers})"
-            )
-        selections = selections.astype(np.int64, copy=False)
-        batch_services = service_times[low:high]
+        selections = board.checked(
+            policy.select_batch(view, batch_times), high - low, policy
+        )
 
-        # A phase of fewer arrivals than the crossover cannot average that
-        # many jobs per round, so it skips the per-server count.
+        # A round holds at most one job per server, so a phase with fewer
+        # arrivals or a cluster with fewer servers than the crossover
+        # cannot average that many jobs per round: skip the count.
         counts = None
-        if high - low >= min_jobs_per_round:
+        if high - low >= min_jobs_per_round and num_servers >= min_jobs_per_round:
             counts = np.bincount(selections, minlength=num_servers)
         if counts is not None and high - low >= min_jobs_per_round * counts.max():
             vector_phases += 1
-            all_completions[low:high] = _fcfs_rounds(
-                board, batch_times, batch_services, selections, counts, rate_vector
+            completions = board.fcfs_rounds(
+                batch_times, service_times[low:high], selections, counts, rate_vector
             )
         else:
             scalar_phases += 1
-            all_completions[low:high] = _fcfs_scalar(
-                board, batch_times, batch_services, selections, rate_list
+            completions = board.fcfs_scalar(
+                arrival_seq[low:high], service_seq[low:high], selections, rate_list
             )
-        all_selections[low:high] = selections
-        board.dispatched(selections, all_completions[low:high])
+        board.dispatched(selections, completions)
 
     phases = len(phase_bounds) - 1
     simulation.last_batch_summary = {
@@ -343,6 +479,7 @@ def run_fast_path(simulation, min_jobs_per_round: int = VECTOR_MIN_JOBS_PER_ROUN
         "vector_phases": vector_phases,
     }
 
+    all_selections, all_completions = board.record()
     responses = all_completions - arrival_times
     if simulation.client_latency is not None:
         # PoissonArrivals emits client id 0 only.

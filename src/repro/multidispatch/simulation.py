@@ -251,11 +251,13 @@ class MultiDispatchSimulation:
                 "dispatcher_faults must be a FaultSchedule (or None), got "
                 f"{type(dispatcher_faults).__name__}"
             )
-        if server_rates is not None and len(server_rates) != num_servers:
-            raise ValueError(
-                f"server_rates has {len(server_rates)} entries for "
-                f"{num_servers} servers"
-            )
+        if server_rates is not None:
+            server_rates = [float(rate) for rate in server_rates]
+            if len(server_rates) != num_servers:
+                raise ValueError(
+                    f"server_rates has {len(server_rates)} entries for "
+                    f"{num_servers} servers"
+                )
         if client_latency is not None:
             client_latency = np.asarray(client_latency, dtype=np.float64)
             if client_latency.ndim != 2 or client_latency.shape[1] != num_servers:
@@ -382,7 +384,9 @@ class MultiDispatchSimulation:
         """Execute the simulation and return per-dispatcher measurements."""
         streams = RandomStreams(self.seed)
         sim = Simulator()
-        rates = self.server_rates or [1.0] * self.num_servers
+        rates = self.server_rates
+        if rates is None:
+            rates = [1.0] * self.num_servers
         m = self.num_dispatchers
         n = self.num_servers
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.ablation.runid import resolve_simulation_spec, run_id
 from repro.analysis.mmk import random_split_response_time
 from repro.cluster.simulation import ClusterSimulation
 from repro.core.ksubset import KSubsetPolicy
@@ -195,6 +196,72 @@ class TestHeterogeneousServers:
                 staleness=PeriodicUpdate(1.0),
                 server_rates=[1.0, 1.0],
             )
+
+
+class TestServerRatesInputs:
+    """Lists, tuples and arrays of rates are one configuration."""
+
+    RATES = [2.0, 0.5, 1.0, 1.5]
+
+    def _rated(self, rates, engine: str = "auto") -> ClusterSimulation:
+        return ClusterSimulation(
+            num_servers=4,
+            arrivals=PoissonArrivals(3.0),
+            service=exponential_service(),
+            policy=BasicLIPolicy(),
+            staleness=PeriodicUpdate(1.0),
+            total_jobs=3_000,
+            seed=6,
+            trace_jobs=True,
+            trace_response_times=True,
+            server_rates=rates,
+            engine=engine,
+        )
+
+    @pytest.mark.parametrize("engine", ["event", "fast", "vector"])
+    def test_array_rates_match_list_rates_bitwise(self, engine):
+        listed = self._rated(self.RATES, engine).run()
+        arrayed = self._rated(np.array(self.RATES), engine).run()
+        assert arrayed.mean_response_time == listed.mean_response_time
+        assert arrayed.duration == listed.duration
+        assert np.array_equal(arrayed.dispatch_counts, listed.dispatch_counts)
+        assert arrayed.response_times.tobytes() == listed.response_times.tobytes()
+        assert arrayed.trace == listed.trace
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            np.array(RATES),
+            tuple(RATES),
+            [2, 0.5, 1, 1.5],
+            np.array(RATES, dtype=np.float32),
+        ],
+        ids=["ndarray", "tuple", "ints", "float32"],
+    )
+    def test_rates_become_a_list_of_floats(self, rates):
+        stored = self._rated(rates).server_rates
+        assert stored == self.RATES
+        assert all(type(rate) is float for rate in stored)
+
+    def test_run_id_of_list_rates_is_unchanged(self):
+        def identity(rates) -> str:
+            return run_id(
+                resolve_simulation_spec(
+                    self._rated(rates),
+                    figure_id="ext-hetero",
+                    curve="basic-li",
+                    x=1.0,
+                    seed=6,
+                    jobs=3_000,
+                    metric="mean_response_time",
+                )
+            )
+
+        # The ID a float list hashed to before rates were normalized.
+        pinned = "58791db755ff1b656699dbe065f0926aec3475d2a581c7ed47ceae02dd7fc5f8"
+        assert identity(self.RATES) == pinned
+        assert identity(np.array(self.RATES)) == pinned
+        assert identity(tuple(self.RATES)) == pinned
 
 
 class TestValidation:

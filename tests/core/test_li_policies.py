@@ -87,6 +87,17 @@ class TestBasicLI:
         assert policy._cached_cumulative is None
 
 
+    @pytest.mark.parametrize("draws", [5, 60])
+    def test_list_table_lookup_matches_searchsorted(self, draws):
+        # Draws landing exactly on a table entry (and u = 0 below a
+        # zero-probability first server) must pick the server
+        # np.searchsorted(side="right") picks, on both lookup routes.
+        table = [0.0, 0.25, 0.25, 0.5, 1.0]
+        uniforms = np.resize([0.0, 0.25, 0.5, 0.75, 0.999], draws)
+        picks = BasicLIPolicy._lookup(table, uniforms)
+        expected = np.searchsorted(np.array(table), uniforms, side="right")
+        assert np.array_equal(np.asarray(picks), expected)
+
 class TestAggressiveLI:
     def test_phase_start_targets_least_loaded(self):
         policy = bound_with_rate(AggressiveLIPolicy())

@@ -241,6 +241,13 @@ class TestClusterShape:
             result.dispatch_counts[:5].sum() > result.dispatch_counts[5:].sum()
         )
 
+    def test_array_rates_match_list_rates(self):
+        rates = [2.0] * 5 + [0.5] * 5
+        listed = _sim(server_rates=rates, total_jobs=2_000).run()
+        arrayed = _sim(server_rates=np.array(rates), total_jobs=2_000).run()
+        assert arrayed.mean_response_time == listed.mean_response_time
+        assert np.array_equal(arrayed.dispatch_counts, listed.dispatch_counts)
+
     def test_client_latency_shape_checked(self):
         with pytest.raises(ValueError, match="client_latency"):
             _sim(client_latency=np.zeros((4, 3)))
